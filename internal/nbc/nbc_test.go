@@ -434,3 +434,18 @@ func TestRoundCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestRoundLabelCached pins the traced path's round labels: each is the
+// "<schedule> r<round>" string the trace has always carried, formatted once
+// per schedule, so re-executing a round does not allocate a new label.
+func TestRoundLabelCached(t *testing.T) {
+	s := &Schedule{Name: "ibcast-binomial-seg32k", Rounds: make([]Round, 3)}
+	for i := range s.Rounds {
+		if got, want := s.roundLabel(i), fmt.Sprintf("%s r%d", s.Name, i); got != want {
+			t.Fatalf("round %d label %q, want %q", i, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.roundLabel(2) }); allocs != 0 {
+		t.Fatalf("cached round label allocates %.1f times per call, want 0", allocs)
+	}
+}

@@ -69,10 +69,25 @@ type Schedule struct {
 	// Schedules with a window allow only one outstanding execution at a
 	// time (the completion counters are per window).
 	Win *mpi.Win
+
+	labels []string // per-round trace labels, formatted on first traced use
 }
 
 // NumRounds returns how many progress-gated rounds the schedule has.
 func (s *Schedule) NumRounds() int { return len(s.Rounds) }
+
+// roundLabel returns round i's trace label, "<Name> r<i>". Labels are
+// formatted once per schedule, so a traced run does not format one per
+// executed round.
+func (s *Schedule) roundLabel(i int) string {
+	if len(s.labels) != len(s.Rounds) {
+		s.labels = make([]string, len(s.Rounds))
+	}
+	if s.labels[i] == "" {
+		s.labels[i] = fmt.Sprintf("%s r%d", s.Name, i)
+	}
+	return s.labels[i]
+}
 
 // Handle is the execution state of one started schedule (LibNBC's
 // NBC_Handle). It is bound to the communicator it was started on.
@@ -247,7 +262,7 @@ func (h *Handle) execRounds() {
 		}
 		if len(h.pending) > 0 || h.await >= 0 {
 			if rec != nil {
-				rec.MarkInstant(rank.ID(), fmt.Sprintf("%s r%d", h.sched.Name, h.round), rank.Now())
+				rec.MarkInstant(rank.ID(), h.sched.roundLabel(h.round), rank.Now())
 			}
 			return // wait for this round's communication
 		}

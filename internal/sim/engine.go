@@ -3,15 +3,14 @@
 // map (DESIGN.md §1): the stand-in for MPI ranks running on real clusters.
 //
 // The engine owns a virtual clock and a priority queue of events. Simulated
-// processes run as goroutines, but the engine guarantees that at most one
-// goroutine executes at any instant. Control moves as a single "scheduler
-// token": whichever goroutine holds the token runs the event loop inline,
-// and parking a process hands the token to whoever the next event wakes.
-// A process whose own wake event is next therefore parks and resumes with
-// zero channel operations, and any cross-process switch costs exactly one
-// channel rendezvous (the old design paid two per park/wake cycle). Runs
-// are fully deterministic for a fixed seed, which is what makes the
-// reproduction of the paper's measurements repeatable.
+// processes run as iter.Pull coroutines under one driver: the goroutine
+// that called Run (or a PDES shard worker), so at most one of them executes
+// at any instant. A parking process runs the event loop inline; when its own
+// wake event is next it resumes with zero switches, and when another
+// process's wake is next it yields to the driver, which switches to that
+// process — two coroutine switches, with no channel operation, scheduler
+// wakeup or futex. Runs are fully deterministic for a fixed seed, which is
+// what makes the reproduction of the paper's measurements repeatable.
 //
 // Events live in a pool of records indexed by an inlined 4-ary heap, so the
 // steady-state hot path (schedule, fire, free-list) performs no allocation.
@@ -23,7 +22,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime/debug"
 	"sort"
 )
 
@@ -113,27 +111,27 @@ type Engine struct {
 	heap []int32    // 4-ary min-heap of queued records, keyed by (t, seq)
 	seq  int64
 
-	deadline  Time          // horizon of the current Run/RunUntil
-	strictEnd bool          // exclusive horizon: stop before t == deadline (PDES windows)
-	toMain    chan struct{} // token handoff back to the Run caller
-	procPanic *ProcPanic    // pending fault captured from a process body
+	deadline  Time       // horizon of the current Run/RunUntil
+	strictEnd bool       // exclusive horizon: stop before t == deadline (PDES windows)
+	handoff   *Proc      // process a parked process yielded to the driver for
+	procPanic *ProcPanic // pending fault captured from a process body
 
 	procs []*Proc
 	live  int
 	rng   *ClonableRand
 
-	// Stats counters, useful in tests and for harness reporting.
+	// Stats counters, useful in tests and for harness reporting. Handoffs
+	// counts driver switches into an already started process: the wakes
+	// the woken process did not resume inline itself, first starts aside.
 	EventsFired int64
+	Handoffs    int64
 
 	trace *Trace
 }
 
 // NewEngine returns an engine whose random source is seeded with seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{
-		toMain: make(chan struct{}),
-		rng:    NewClonableRand(seed),
-	}
+	return &Engine{rng: NewClonableRand(seed)}
 }
 
 // Now returns the current virtual time.
@@ -331,23 +329,13 @@ func (e *Engine) InjectAt(t Time, fn func(any), arg any) {
 // atWake schedules a wake ticket for p's park generation g. Wake tickets are
 // plain pooled records — no closure, no handle — and stale tickets (the
 // process was already woken, re-parked, or finished) are dropped in the
-// dispatch loop, which is how same-instant wakeups coalesce into one resume.
+// event loop, which is how same-instant wakeups coalesce into one resume.
 func (e *Engine) atWake(d Time, p *Proc, g uint64) {
 	idx := e.schedule(d, evWake)
 	r := &e.recs[idx]
 	r.proc, r.wgen = p, g
 }
 
-// dispatch runs the event loop on the calling goroutine, which must hold the
-// scheduler token. self is the process the caller just parked (nil when the
-// caller is the exit wrapper of a finished process). dispatch returns when
-// the token has left the calling goroutine:
-//
-//   - an evWake for self pops: self resumes inline, zero channel operations;
-//   - an evWake for another parked process pops: one channel send hands the
-//     token over, and (self != nil) the caller blocks until its own wake is
-//     eventually popped by a later token holder;
-//   - the queue drains past e.deadline: the token returns to the Run caller.
 // horizonReached reports whether no queued event may fire under the current
 // horizon. Run/RunUntil use an inclusive deadline; a PDES window sets
 // strictEnd so events at exactly the window boundary wait for the next
@@ -364,15 +352,16 @@ func (e *Engine) horizonReached() bool {
 	return t > e.deadline
 }
 
-func (e *Engine) dispatch(self *Proc) {
-	for {
-		if e.horizonReached() {
-			e.toMain <- struct{}{}
-			if self != nil {
-				<-self.resume
-			}
-			return
-		}
+// loop fires events until the horizon. self is the process running it inline
+// from a park, or nil when the caller is the driver (Run, RunUntil or a PDES
+// window). A wake for self returns at once: the own-wake resume costs no
+// switch. A wake for another process q is a handoff: the driver resumes q
+// directly, while a parked self sets e.handoff = q and yields to the driver,
+// which then resumes q — two coroutine switches, no scheduler involvement.
+// Reaching the horizon likewise yields self back to the driver, which
+// returns to its caller.
+func (e *Engine) loop(self *Proc) {
+	for !e.horizonReached() {
 		idx := e.heapPop()
 		r := &e.recs[idx]
 		e.now = r.t
@@ -393,58 +382,19 @@ func (e *Engine) dispatch(self *Proc) {
 				continue // stale ticket: this wakeup was coalesced away
 			}
 			if q == self {
-				return // own wake: resume without touching a channel
+				return // own wake: resume inline
 			}
-			q.resume <- struct{}{}
-			if self != nil {
-				<-self.resume
-			}
-			return
-		}
-	}
-}
-
-// runLoop is dispatch's twin for the Run caller: it fires events until the
-// horizon, handing the token to woken processes and reclaiming it (via
-// toMain) when no runnable work remains before the deadline.
-func (e *Engine) runLoop(deadline Time) {
-	e.deadline = deadline
-	for {
-		if e.horizonReached() {
-			return
-		}
-		idx := e.heapPop()
-		r := &e.recs[idx]
-		e.now = r.t
-		e.EventsFired++
-		switch r.kind {
-		case evFunc:
-			fn := r.fn
-			e.freeRec(idx)
-			fn()
-		case evCall:
-			fn, arg := r.fn2, r.arg
-			e.freeRec(idx)
-			fn(arg)
-		default: // evWake
-			q, g := r.proc, r.wgen
-			e.freeRec(idx)
-			if q.done || !q.parked || q.gen != g {
+			if self == nil {
+				e.resume(q)
 				continue
 			}
-			q.resume <- struct{}{}
-			e.waitToken()
+			e.handoff = q
+			self.yield(struct{}{})
+			return
 		}
 	}
-}
-
-// waitToken blocks until the scheduler token returns to the Run caller,
-// re-raising any panic captured from a process body.
-func (e *Engine) waitToken() {
-	<-e.toMain
-	if pp := e.procPanic; pp != nil {
-		e.procPanic = nil
-		panic(pp)
+	if self != nil {
+		self.yield(struct{}{})
 	}
 }
 
@@ -453,7 +403,8 @@ func (e *Engine) waitToken() {
 // deadlocked; Run panics with a diagnostic naming the parked processes. A
 // panic escaping a process body is re-raised here as a *ProcPanic.
 func (e *Engine) Run() Time {
-	e.runLoop(math.Inf(1))
+	e.deadline = math.Inf(1)
+	e.loop(nil)
 	if e.live > 0 {
 		var stuck []string
 		for _, p := range e.procs {
@@ -470,7 +421,8 @@ func (e *Engine) Run() Time {
 // RunUntil executes events with time <= deadline and returns the virtual time
 // reached. Unlike Run it does not treat parked processes as a deadlock.
 func (e *Engine) RunUntil(deadline Time) Time {
-	e.runLoop(deadline)
+	e.deadline = deadline
+	e.loop(nil)
 	if e.now < deadline {
 		e.now = deadline
 	}
@@ -482,8 +434,8 @@ func (e *Engine) RunUntil(deadline Time) Time {
 // the caller (Windows) guarantees that no event below end can be created by
 // another shard, which is exactly the conservative-lookahead contract.
 func (e *Engine) runWindow(end Time) {
-	e.strictEnd = true
-	e.runLoop(end)
+	e.deadline, e.strictEnd = end, true
+	e.loop(nil)
 	e.strictEnd = false
 }
 
@@ -497,52 +449,22 @@ func (e *Engine) nextEventTime() (Time, bool) {
 }
 
 // Spawn starts a new process executing fn. The process begins running at the
-// current virtual time (via a zero-delay wake event). If fn panics, the
-// panic is captured with its stack and re-raised from Run as a *ProcPanic.
+// current virtual time (via a zero-delay wake event); its coroutine is
+// created by the driver on that first resume. If fn panics, the panic is
+// captured with its stack and re-raised from Run as a *ProcPanic.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{
 		eng:    e,
 		name:   name,
 		id:     len(e.procs),
-		resume: make(chan struct{}),
+		body:   fn,
 		parked: true,
 		gen:    1,
 	}
 	e.procs = append(e.procs, p)
 	e.live++
-	go func() {
-		<-p.resume
-		p.parked = false
-		fail := p.runBody(fn)
-		p.done = true
-		e.live--
-		if fail != nil {
-			e.procPanic = fail
-			e.toMain <- struct{}{}
-			return
-		}
-		// The body returned while holding the token: keep dispatching on
-		// this goroutine until the token moves on, then exit.
-		e.dispatch(nil)
-	}()
 	e.atWake(0, p, 1)
 	return p
-}
-
-// runBody executes the process body, converting an escaped panic into a
-// *ProcPanic so it can be re-raised on the Run caller's goroutine.
-func (p *Proc) runBody(fn func(*Proc)) (fail *ProcPanic) {
-	defer func() {
-		if r := recover(); r != nil {
-			if pp, ok := r.(*ProcPanic); ok {
-				fail = pp // already wrapped by a nested dispatch
-				return
-			}
-			fail = &ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()}
-		}
-	}()
-	fn(p)
-	return nil
 }
 
 // Procs returns all processes ever spawned.

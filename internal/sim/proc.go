@@ -1,24 +1,33 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+	"runtime/debug"
+)
 
-// Proc is a simulated process. A Proc's body function runs in its own
-// goroutine, but the engine guarantees that at most one goroutine executes
-// at a time via the scheduler token (see the package comment): a parking
-// process runs the event dispatch loop itself, resuming inline when its own
-// wake event is next and handing the token over with a single channel send
-// otherwise.
+// Proc is a simulated process. Its body runs as an iter.Pull coroutine
+// driven by the engine's driver (the Run caller or a PDES shard worker), so
+// exactly one of them executes at any instant and switching between them
+// never goes through the Go scheduler. A parking process runs the event
+// loop itself: it resumes inline when its own wake event is next, and
+// otherwise names the woken process in e.handoff and yields to the driver,
+// which resumes that process (see Engine.loop).
 //
 // Wakeups are pooled evWake records addressed by (process, park generation).
 // Any API that logically wakes a process (Sleep timers, Cond.Broadcast,
-// Cond.Signal) pushes such a record; the dispatch loop drops tickets whose
+// Cond.Signal) pushes such a record; the event loop drops tickets whose
 // generation is stale, which coalesces multiple same-instant wakeups of one
 // process into a single resume.
 type Proc struct {
 	eng    *Engine
 	name   string
 	id     int
-	resume chan struct{}
+	body   func(*Proc)
+	next   func() (struct{}, bool) // driver side: resume the coroutine
+	yield  func(struct{}) bool     // process side: suspend to the driver
 	done   bool
 	parked bool
 	gen    uint64 // park generation; wake tickets target a generation
@@ -41,7 +50,7 @@ func (p *Proc) Done() bool { return p.done }
 
 // prepark marks the process as about to park and returns the wake ticket
 // that targets exactly this park. Must be called from the process's own
-// goroutine, immediately before parkPrepared.
+// coroutine, immediately before parkPrepared.
 func (p *Proc) prepark() uint64 {
 	p.gen++
 	p.parked = true
@@ -49,12 +58,61 @@ func (p *Proc) prepark() uint64 {
 }
 
 // parkPrepared suspends the process until a wake record with a matching
-// ticket fires. The process keeps the scheduler token and dispatches events
-// itself, so a park whose wake is the next runnable event costs no channel
-// operations at all.
+// ticket fires. The process runs the event loop itself, so a park whose
+// wake is the next runnable event costs no coroutine switch at all.
 func (p *Proc) parkPrepared() {
-	p.eng.dispatch(p)
+	p.eng.loop(p)
 	p.parked = false
+}
+
+// resume is the driver's side of a handoff: it switches to q's coroutine
+// (creating it on q's first resume, so it belongs to the goroutine and
+// thread that drive the engine) and keeps following the handoffs the
+// resumed processes leave until one yields without naming a successor. A
+// panic captured from a process body is re-raised here as a *ProcPanic.
+func (e *Engine) resume(q *Proc) {
+	for ; q != nil; q = e.handoff {
+		e.handoff = nil
+		if q.next == nil {
+			q.next, _ = iter.Pull(q.run)
+		} else {
+			e.Handoffs++
+		}
+		q.next()
+		if pp := e.procPanic; pp != nil {
+			e.procPanic = nil
+			panic(pp)
+		}
+	}
+}
+
+// run is the coroutine body: it runs the process to completion, recording
+// an escaped panic for the driver to re-raise.
+func (p *Proc) run(yield func(struct{}) bool) {
+	p.yield = yield
+	p.parked = false
+	fail := p.runBody(p.body)
+	p.done, p.body = true, nil
+	p.eng.live--
+	if fail != nil {
+		p.eng.procPanic = fail
+	}
+}
+
+// runBody executes the process body, converting an escaped panic into a
+// *ProcPanic so it can be re-raised on the driver's goroutine.
+func (p *Proc) runBody(fn func(*Proc)) (fail *ProcPanic) {
+	defer func() {
+		if r := recover(); r != nil {
+			if pp, ok := r.(*ProcPanic); ok {
+				fail = pp // already wrapped by a nested engine's driver
+				return
+			}
+			fail = &ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()}
+		}
+	}()
+	fn(p)
+	return nil
 }
 
 // Sleep advances the process's local activity by duration d of virtual time.
@@ -108,7 +166,7 @@ func (c *Cond) Wait(p *Proc) {
 // record, so the wakeups happen strictly after the caller's current step,
 // in consecutive event order. A waiter that was meanwhile woken through
 // another path holds a newer park generation and its record is dropped as
-// stale by the dispatch loop.
+// stale by the event loop.
 func (c *Cond) Broadcast() {
 	for _, w := range c.waiters {
 		c.eng.atWake(0, w.p, w.g)

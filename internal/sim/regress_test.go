@@ -2,14 +2,17 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 )
 
 // Regression tests for the pooled-event execution core: heap-backed Cancel,
-// generation-checked wake tickets, panic propagation, and the allocation-free
-// steady state. These are deliberately white-box — they pin the internal
+// generation-checked wake tickets, panic propagation, the allocation-free
+// steady state, and the coroutine driver's hazards (thread-locked drivers,
+// faults and deadlocks with suspended coroutines, the handoff count). These are deliberately white-box — they pin the internal
 // invariants (free-list recycling, ticket coalescing) that the public-API
 // tests in engine_test.go cannot reach.
 
@@ -112,7 +115,7 @@ func TestStaleHandleAfterRecycle(t *testing.T) {
 }
 
 // TestStaleWakeTicketDropped injects a wake ticket carrying an outdated park
-// generation while the process is parked on a newer one. The dispatch loop
+// generation while the process is parked on a newer one. The event loop
 // must drop it, so the process sleeps its full duration instead of waking
 // early. This is the mechanism behind wake coalescing and behind Cond's
 // "stale broadcast" safety.
@@ -273,4 +276,136 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	if per := allocs / batch; per > 0.01 {
 		t.Fatalf("steady state allocates %.4f allocs/event, want ~0", per)
 	}
+}
+
+// pingPong spawns two processes that pass a turn back and forth msgs times
+// each through a pair of Conds; every message after the first wakes a
+// process parked on the other Cond.
+func pingPong(e *Engine, msgs int) {
+	conds := [2]*Cond{NewCond(e), NewCond(e)}
+	turn := 0
+	for me := 0; me < 2; me++ {
+		me := me
+		e.Spawn(fmt.Sprintf("pp%d", me), func(p *Proc) {
+			for i := 0; i < msgs; i++ {
+				for turn != me {
+					conds[me].Wait(p)
+				}
+				turn = 1 - me
+				conds[1-me].Signal()
+			}
+		})
+	}
+}
+
+// TestHandoffsCountCrossProcessSwitches pins the switch-mix counter: in a
+// two-process ping-pong every extra message costs exactly one handoff,
+// while a lone sleeper — even with timer events interleaved — resumes
+// inline from its own wake every time and never hands off.
+func TestHandoffsCountCrossProcessSwitches(t *testing.T) {
+	handoffs := func(msgs int) int64 {
+		e := NewEngine(1)
+		pingPong(e, msgs)
+		e.Run()
+		return e.Handoffs
+	}
+	h10, h30 := handoffs(10), handoffs(30)
+	if d := h30 - h10; d != 2*(30-10) {
+		t.Fatalf("40 extra ping-pong messages cost %d handoffs (%d -> %d), want 40", d, h10, h30)
+	}
+
+	e := NewEngine(1)
+	e.Spawn("sleeper", func(p *Proc) {
+		for i := 0; i < 100; i++ {
+			p.Sleep(1)
+		}
+	})
+	for i := 0; i < 50; i++ {
+		e.At(float64(i)+0.5, func() {})
+	}
+	e.Run()
+	if e.Handoffs != 0 {
+		t.Fatalf("lone sleeper handed off %d times, want 0", e.Handoffs)
+	}
+}
+
+// TestCoroutineFirstResumedByLockedShardWorker spawns processes on the test
+// goroutine and lets 2-shard Windows workers, each locked to its OS thread,
+// drive them. The runtime only allows switching to a coroutine with the
+// thread-lock state it was created under, so the engine must create each
+// coroutine on its first resume by the driver, never in Spawn.
+func TestCoroutineFirstResumedByLockedShardWorker(t *testing.T) {
+	engs := []*Engine{NewEngine(1), NewEngine(2)}
+	for _, e := range engs {
+		pingPong(e, 20)
+		e.Spawn("sleeper", func(p *Proc) {
+			for i := 0; i < 5; i++ {
+				p.Sleep(0.25)
+			}
+		})
+	}
+	ws := NewWindows(engs, 0.5)
+	if end := ws.Run(); end != 1.25 {
+		t.Fatalf("windowed run ended at %g, want 1.25", end)
+	}
+	for s, e := range engs {
+		if e.live != 0 || e.Handoffs == 0 {
+			t.Fatalf("shard %d: %d live process(es), %d handoffs; want 0 live and ping-pong handoffs", s, e.live, e.Handoffs)
+		}
+	}
+}
+
+// TestProcPanicFromInlineDispatch fires a faulting event callback from the
+// event loop a parked process runs inline, while two other processes sit
+// suspended in their coroutines. The driver must re-raise it as a
+// *ProcPanic naming the process whose loop fired it, with the callback's
+// value and stack, and leave the suspended processes parked.
+func TestProcPanicFromInlineDispatch(t *testing.T) {
+	e := NewEngine(1)
+	never := NewCond(e)
+	a := e.Spawn("a", func(p *Proc) { never.Wait(p) })
+	b := e.Spawn("b", func(p *Proc) { never.Wait(p) })
+	e.Spawn("c", func(p *Proc) { p.Sleep(2) })
+	e.At(1, func() { panic("callback fault") })
+	var pp *ProcPanic
+	func() {
+		defer func() {
+			var ok bool
+			if pp, ok = recover().(*ProcPanic); !ok {
+				t.Fatal("Run did not re-raise a *ProcPanic")
+			}
+		}()
+		e.Run()
+	}()
+	if pp.Proc != "c" || pp.Value != "callback fault" {
+		t.Fatalf("got ProcPanic{%q, %v}, want {\"c\", callback fault}", pp.Proc, pp.Value)
+	}
+	if !strings.Contains(string(pp.Stack), "TestProcPanicFromInlineDispatch") {
+		t.Fatalf("stack does not reach the faulting callback:\n%s", pp.Stack)
+	}
+	if a.Done() || b.Done() || e.live != 2 {
+		t.Fatalf("a.Done=%v b.Done=%v live=%d; want a and b parked and live", a.Done(), b.Done(), e.live)
+	}
+}
+
+// TestDeadlockNamesSuspendedProcs checks Run's deadlock diagnostic when the
+// stuck process is a coroutine suspended in the driver after the queue
+// drained, beside processes that finished through handoffs.
+func TestDeadlockNamesSuspendedProcs(t *testing.T) {
+	e := NewEngine(1)
+	pingPong(e, 3)
+	never := NewCond(e)
+	e.Spawn("zz-waiter", func(p *Proc) {
+		p.Sleep(1)
+		never.Wait(p)
+	})
+	e.Spawn("done", func(p *Proc) {})
+	defer func() {
+		s, _ := recover().(string)
+		if !strings.Contains(s, "deadlock at t=1") || !strings.Contains(s, "1 process(es) parked: [zz-waiter]") {
+			t.Fatalf("recovered %q, want a deadlock naming [zz-waiter]", s)
+		}
+	}()
+	e.Run()
+	t.Fatal("Run returned despite deadlock")
 }

@@ -7,7 +7,7 @@ import "fmt"
 // running (or be discarded) and any number of Forks can be materialized from
 // one snapshot, concurrently.
 //
-// Goroutine stacks cannot be copied, so an engine is only snapshottable at a
+// Coroutine stacks cannot be copied, so an engine is only snapshottable at a
 // quiescent point: no live processes, an empty event queue, and every pooled
 // event record back on the free list. Engine.Run drains the queue completely,
 // so "after Run returned" is the natural snapshot point. What the snapshot
@@ -67,7 +67,6 @@ func (s *Snapshot) Fork() *Engine {
 	e := &Engine{
 		now:         s.now,
 		seq:         s.seq,
-		toMain:      make(chan struct{}),
 		rng:         s.rng.Clone(),
 		EventsFired: s.fired,
 	}

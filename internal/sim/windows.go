@@ -224,9 +224,8 @@ func (ws *Windows) runWindow(end Time) {
 }
 
 // startWorkers launches one persistent goroutine per shard. Each pins
-// itself to an OS thread for the lifetime of the run: the shard's event
-// loop executes on it whenever a simulated process is not holding the
-// scheduler token.
+// itself to an OS thread for the lifetime of the run and is its shard's
+// driver: the shard's processes' coroutines are created and resumed on it.
 func (ws *Windows) startWorkers() {
 	ws.workers = make([]windowWorker, len(ws.engs))
 	var ready sync.WaitGroup

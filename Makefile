@@ -2,7 +2,7 @@
 # command: `make ci`.
 GO ?= go
 
-.PHONY: all build test vet race bench bench-kb bench-fork bench-scale bench-pdes benchsmoke benchguard allocguard chaos-smoke kb-smoke guideline-smoke fork-smoke scale-smoke pdes-smoke ci
+.PHONY: all build test vet race bench benchsmoke benchguard allocguard chaos-smoke kb-smoke guideline-smoke fork-smoke scale-smoke pdes-smoke ci
 
 all: ci
 
@@ -24,15 +24,13 @@ race:
 	$(GO) test -race ./internal/runner ./internal/sim/... ./internal/mpi/... ./internal/nbc/... ./internal/chaos/... ./internal/kb ./internal/netmodel
 	$(GO) test -race -count 1 -run 'PDES' ./internal/bench
 
-# All Go benchmarks (one iteration as a smoke), then regenerate the committed
-# MPI hot-path baseline from full measurements. Run on a quiet machine before
-# committing BENCH_mpi.json.
+# All Go benchmarks, one iteration each, as a smoke. A committed baseline
+# BENCH_<gate>.json is regenerated from full measurements on a quiet
+# machine with `go run ./cmd/bench -write <gate>`.
 bench:
 	$(GO) test -bench . -benchtime 1x -run XXX ./...
-	$(GO) run ./cmd/benchmpi -out BENCH_mpi.json
 
-# One-iteration smoke of the committed engine baseline (BENCH_sim.json);
-# regenerate the committed numbers with -benchtime=2s.
+# One-iteration smoke of the committed engine baseline (BENCH_sim.json).
 benchsmoke:
 	$(GO) test -bench EngineThroughput -benchtime 1x -run XXX ./internal/sim
 
@@ -42,12 +40,6 @@ benchsmoke:
 kb-smoke:
 	$(GO) test -count 1 -run TestKBSmoke ./internal/kb
 
-# Regenerate the committed knowledge-base service baseline (BENCH_kb.json):
-# self-hosted daemon, 10..200 concurrent clients, P50/P95/P99 + QPS. Run on
-# a quiet machine before committing.
-bench-kb:
-	$(GO) run ./cmd/kbbench -out BENCH_kb.json
-
 # Short noisy sweep under the race detector: the bench chaos tests run the
 # verification sweep with the "congested" profile attached (twice, checking
 # byte-identity), and the chaos package's own determinism suite rides along.
@@ -55,26 +47,6 @@ bench-kb:
 chaos-smoke:
 	$(GO) test -race -short -count 1 -run 'TestChaos' ./internal/bench
 	$(GO) test -race -count 1 ./internal/chaos/...
-
-# Regenerate the committed speculative-selection baseline (BENCH_fork.json):
-# virtual selection latencies sequential vs forked at 4 workers. The virtual
-# numbers are deterministic, so any machine regenerates the same baseline.
-bench-fork:
-	$(GO) run ./cmd/benchfork -out BENCH_fork.json
-
-# Regenerate the committed world-scaling baseline (BENCH_scale.json): idle
-# bytes/rank and engine event throughput at 1K/4K/16K ranks on the bgp-16k
-# torus. Run on a quiet machine before committing.
-bench-scale:
-	$(GO) run ./cmd/benchscale -out BENCH_scale.json
-
-# Regenerate the committed PDES baseline (BENCH_pdes.json): sequential vs
-# sharded event throughput at 4096 ranks. Event counts, window barriers and
-# virtual seconds are deterministic; throughput (and the recorded core count
-# the speedup assertion is gated on) is host-specific, so run on a quiet
-# machine before committing.
-bench-pdes:
-	$(GO) run ./cmd/benchpdes -benchtime 2s -out BENCH_pdes.json
 
 # PDES gate: the window/lookahead unit suites and the determinism matrices
 # under the race detector (shards 1/2/4/8 must produce byte-identical
@@ -126,24 +98,11 @@ guideline-smoke:
 	rm -f results/.guideline_report.ci.json
 	$(GO) run ./cmd/audit -check results/guideline_report.json
 
-# Fail if engine throughput regresses >15% versus the committed baseline in
-# BENCH_sim.json (1s measurement for stability; regenerate the baseline with
-# -benchtime=2s on a quiet machine).
+# Every committed performance baseline (BENCH_{sim,mpi,kb,fork,scale,pdes}.json)
+# re-measured on this host and judged against its fixed bounds; every gate's
+# verdict is printed, and any failure fails the target.
 benchguard:
-	@base=$$(sed -n 's/.*"ns_per_op": \([0-9]*\).*/\1/p' BENCH_sim.json | head -1); \
-	out=$$($(GO) test -bench EngineThroughput -benchtime 1s -run XXX ./internal/sim); \
-	echo "$$out"; \
-	now=$$(echo "$$out" | awk '/^BenchmarkEngineThroughput/ {print int($$3)}'); \
-	if [ -z "$$base" ] || [ -z "$$now" ]; then echo "benchguard: could not parse baseline or benchmark output"; exit 1; fi; \
-	limit=$$((base * 115 / 100)); \
-	if [ "$$now" -gt "$$limit" ]; then echo "benchguard: $$now ns/op exceeds 115% of committed baseline $$base ns/op"; exit 1; fi; \
-	echo "benchguard: $$now ns/op within 15% of committed baseline $$base ns/op"
-	$(GO) run ./cmd/benchmpi -check BENCH_mpi.json -benchtime 500ms
-	$(GO) run ./cmd/kbbench -check BENCH_kb.json
-	$(GO) run ./cmd/audit -check results/guideline_report.json
-	$(GO) run ./cmd/benchfork -check BENCH_fork.json
-	$(GO) run ./cmd/benchscale -check BENCH_scale.json
-	$(GO) run ./cmd/benchpdes -check BENCH_pdes.json
+	$(GO) run ./cmd/bench -check all
 
 # Zero-allocation pins for the mpi/nbc steady state (matching cycles and a
 # full persistent-Ibcast iteration must stay at 0 allocs once pools are warm).

@@ -9,9 +9,9 @@ import (
 
 // PDES measurement: event throughput of the sharded multi-core engine
 // (DESIGN.md §13) against the sequential engine on the same workload.
-// cmd/benchpdes maintains the committed BENCH_pdes.json baseline from these
-// numbers: the simulated quantities (events, virtual seconds, window
-// barriers) are exact pins — identical at every shard count — while
+// cmd/bench's pdes gate maintains the committed BENCH_pdes.json baseline
+// from these numbers: the simulated quantities (events, virtual seconds,
+// window barriers) are exact pins — identical at every shard count — while
 // throughput is checked with regression margins.
 
 // PDESWorkload describes the program MeasurePDESPoint times — the same
@@ -51,55 +51,21 @@ func MeasurePDESPoint(ranks, shards int, benchtime time.Duration) (PDESPoint, er
 		return PDESPoint{}, fmt.Errorf("bench: %d ranks exceed bgp-16k capacity", ranks)
 	}
 	pt := PDESPoint{Ranks: ranks, Shards: shards}
-	var wall time.Duration
-	run := func() error {
-		if shards <= 0 {
-			eng, w, err := plat.NewWorldPlaced(ranks, 1, platform.Block)
+	run := func() (workloadRun, error) { return runSeq(plat, ranks) }
+	if shards > 0 {
+		run = func() (workloadRun, error) {
+			sw, err := plat.NewWorldPDES(ranks, 1, platform.Block, shards)
 			if err != nil {
-				return err
+				return workloadRun{}, err
 			}
+			pt.Shards = sw.Shards() // after clamping to the used node count
 			start := time.Now()
-			w.Start(scaleProg)
-			virt := eng.Run()
-			el := time.Since(start)
-			wall += el
-			if tput := float64(eng.EventsFired) / el.Seconds(); tput > pt.EventsPerSec {
-				pt.EventsPerSec = tput
-			}
-			if pt.Events == 0 {
-				pt.Events = eng.EventsFired
-				pt.VirtualSeconds = virt
-			}
-			return nil
-		}
-		sw, err := plat.NewWorldPDES(ranks, 1, platform.Block, shards)
-		if err != nil {
-			return err
-		}
-		pt.Shards = sw.Shards() // after clamping to the used node count
-		start := time.Now()
-		sw.Start(scaleProg)
-		sw.Run()
-		el := time.Since(start)
-		wall += el
-		events := sw.EventsFired()
-		if tput := float64(events) / el.Seconds(); tput > pt.EventsPerSec {
-			pt.EventsPerSec = tput
-		}
-		if pt.Events == 0 {
-			pt.Events = events
-			pt.VirtualSeconds = sw.Now()
-			pt.WindowBarriers = sw.Windows().Barriers
-		}
-		return nil
-	}
-	if err := run(); err != nil {
-		return pt, err
-	}
-	for runs := 1; wall < benchtime || runs < 3; runs++ {
-		if err := run(); err != nil {
-			return pt, err
+			sw.Start(scaleProg)
+			sw.Run()
+			return workloadRun{events: sw.EventsFired(), virt: sw.Now(), barriers: sw.Windows().Barriers, wall: time.Since(start)}, nil
 		}
 	}
-	return pt, nil
+	first, best, err := bestRun(benchtime, run)
+	pt.Events, pt.VirtualSeconds, pt.WindowBarriers, pt.EventsPerSec = first.events, first.virt, first.barriers, best
+	return pt, err
 }

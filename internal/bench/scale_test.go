@@ -9,7 +9,7 @@ import (
 
 // TestIdleWorldFootprint16K pins the scale tentpole's memory guarantee: a
 // 16K-rank world on the bgp-16k torus constructs inside the hard per-rank
-// budget, and the cheap world is a real one — it runs the benchscale
+// budget, and the cheap world is a real one — it runs the scale gate's
 // workload (full-world barrier + 64 KiB binomial broadcast) to completion.
 // The same quantities feed BENCH_scale.json; this test is the in-tree
 // regression stop for eager-initialization creep (pre-scale-work worlds

@@ -13,7 +13,7 @@ import (
 )
 
 // SchemaVersion identifies the report layout. cmd/audit -check (and the CI
-// benchguard) fails loudly when a report's version does not match, so a
+// guideline-smoke gate) fails loudly when a report's version does not match, so a
 // schema change cannot silently invalidate committed artifacts.
 const SchemaVersion = 1
 
@@ -108,7 +108,7 @@ func LoadFile(path string) (*Report, error) {
 // because every finding carries its raw samples — every verdict and effect
 // size is re-derived from the samples and compared against the stored
 // values. A report that passes Check is self-consistent without any
-// re-simulation; the CI benchguard runs this against the committed report so
+// re-simulation; the CI guideline-smoke gate runs this against the committed report so
 // a schema or judgment change fails loudly.
 func (r *Report) Check() error {
 	if r.SchemaVersion != SchemaVersion {

@@ -12,7 +12,7 @@ import (
 // deterministic lookup workloads over it. The committed copies in
 // testdata/ (fixture.json, golden_lookups.json) must match what these
 // functions generate — fixture_test.go pins both, and kb-smoke plus
-// cmd/kbbench replay the same workload against a live daemon.
+// cmd/bench's kb gate replay the same workload against a live daemon.
 
 // FixtureSeed seeds every fixture stream; the same seed always yields the
 // identical population and workloads.
@@ -94,7 +94,7 @@ func FixtureRecords() []Record {
 // FixtureQueries returns the stream-th deterministic lookup workload of n
 // queries over the fixture population: ~70% target recorded scenarios
 // (hits), the rest are fresh draws (mostly misses). Stream 0 is the golden
-// transcript workload; cmd/kbbench gives each simulated client its own
+// transcript workload; cmd/bench's kb gate gives each simulated client its own
 // stream so concurrent clients do not ask identical sequences.
 func FixtureQueries(stream uint64, n int) []LookupQuery {
 	recs := FixtureRecords()

@@ -2,7 +2,7 @@ package mpi
 
 // MatchBench is a reusable harness over the message-matching engines, shared
 // by the in-package benchmarks, the AllocsPerRun regression test, and
-// cmd/benchmpi (which records the numbers in BENCH_mpi.json). It keeps k
+// cmd/bench's mpi gate (which records the numbers in BENCH_mpi.json). It keeps k
 // receives posted for one rank and, per cycle, matches one arriving message
 // against the full window and re-posts the freed receive. Arrival tags walk
 // a fixed odd-stride permutation of 0..k-1, so the linear reference scans

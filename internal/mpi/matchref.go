@@ -4,7 +4,7 @@ package mpi
 // engine: the exact front-to-back scans and append-removals p2p.go used
 // before the bucketed rewrite. The matching-order property test drives it in
 // lockstep with the indexed matcher on random post/arrive interleavings, and
-// the matching microbenchmarks (BENCH_mpi.json) quantify the rewrite against
+// cmd/bench's mpi gate (BENCH_mpi.json) quantifies the rewrite against
 // it. Matching depends only on (ctx, src, tag) triples, so the reference
 // carries bare triples plus an id for cross-checking.
 type refItem struct {

@@ -389,12 +389,12 @@ func (e *Engine) loop(self *Proc) {
 				continue
 			}
 			e.handoff = q
-			self.yield(struct{}{})
+			self.suspend()
 			return
 		}
 	}
 	if self != nil {
-		self.yield(struct{}{})
+		self.suspend()
 	}
 }
 
@@ -403,6 +403,7 @@ func (e *Engine) loop(self *Proc) {
 // deadlocked; Run panics with a diagnostic naming the parked processes. A
 // panic escaping a process body is re-raised here as a *ProcPanic.
 func (e *Engine) Run() Time {
+	defer e.abandonOnPanic()
 	e.deadline = math.Inf(1)
 	e.loop(nil)
 	if e.live > 0 {
@@ -421,6 +422,7 @@ func (e *Engine) Run() Time {
 // RunUntil executes events with time <= deadline and returns the virtual time
 // reached. Unlike Run it does not treat parked processes as a deadlock.
 func (e *Engine) RunUntil(deadline Time) Time {
+	defer e.abandonOnPanic()
 	e.deadline = deadline
 	e.loop(nil)
 	if e.now < deadline {

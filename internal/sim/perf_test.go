@@ -5,27 +5,14 @@ import (
 	"testing"
 )
 
-// BenchmarkEngineThroughput is the repository's committed engine baseline
-// (BENCH_sim.json): a mixed hot-path workload of pure timer events plus
-// sleeping processes, the two event shapes every simulated MPI rank drives.
-// It reports events/sec and allocs/event; CI runs it with -benchtime=1x as a
-// smoke test, and the numbers in BENCH_sim.json are regenerated with
+// BenchmarkEngineThroughput times the committed engine baseline
+// (BENCH_sim.json, NewThroughputEngine) and reports events/sec and
+// allocs/event. CI runs it with -benchtime=1x as a smoke test; cmd/bench
+// gates and regenerates the committed numbers from the same timed region:
 //
-//	go test -bench=EngineThroughput -benchtime=2s ./internal/sim
+//	go run ./cmd/bench -write sim
 func BenchmarkEngineThroughput(b *testing.B) {
-	const procs = 8
-	e := NewEngine(1)
-	for pi := 0; pi < procs; pi++ {
-		e.Spawn("p", func(p *Proc) {
-			for i := 0; i < b.N; i++ {
-				p.Sleep(1e-6)
-			}
-		})
-	}
-	// Interleaved pure-callback events: two timer events per proc wake.
-	for i := 0; i < 2*procs*b.N; i++ {
-		e.At(float64(i)*0.5e-6, func() {})
-	}
+	e := NewThroughputEngine(b.N)
 	b.ReportAllocs()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

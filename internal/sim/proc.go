@@ -5,6 +5,7 @@ package sim
 import (
 	"fmt"
 	"iter"
+	"math"
 	"runtime/debug"
 )
 
@@ -27,6 +28,7 @@ type Proc struct {
 	id     int
 	body   func(*Proc)
 	next   func() (struct{}, bool) // driver side: resume the coroutine
+	stop   func()                  // driver side: unwind a suspended coroutine
 	yield  func(struct{}) bool     // process side: suspend to the driver
 	done   bool
 	parked bool
@@ -74,7 +76,7 @@ func (e *Engine) resume(q *Proc) {
 	for ; q != nil; q = e.handoff {
 		e.handoff = nil
 		if q.next == nil {
-			q.next, _ = iter.Pull(q.run)
+			q.next, q.stop = iter.Pull(q.run)
 		} else {
 			e.Handoffs++
 		}
@@ -86,12 +88,56 @@ func (e *Engine) resume(q *Proc) {
 	}
 }
 
+// suspend yields to the driver. A false return means the driver stopped
+// the coroutine (Engine.abandon), so the body unwinds instead of resuming.
+func (p *Proc) suspend() {
+	if !p.yield(struct{}{}) {
+		panic(abandoned{})
+	}
+}
+
+// abandoned is the sentinel a stopped process unwinds its body with.
+type abandoned struct{}
+
+// abandon stops the coroutine of every started, unfinished process, so a
+// run that ends in a fault or a deadlock does not leave their goroutines
+// and stacks suspended for good. Each one's pending yield returns false and
+// its body unwinds through the abandoned sentinel, which runBody swallows;
+// the process stays parked and live, as the failed run left it. The horizon
+// is closed first, so no event fires while deferred calls in the bodies
+// run. Fault paths only; must be called on the engine's driver.
+func (e *Engine) abandon() {
+	for _, p := range e.procs {
+		if stop := p.stop; stop != nil && !p.done {
+			e.deadline, e.strictEnd = math.Inf(-1), false
+			p.stop = nil
+			stop()
+		}
+	}
+}
+
+// abandonOnPanic is deferred by every driver that runs the event loop on
+// its caller's goroutine (Run, RunUntil, a one-shard Windows.Run): whatever
+// panic leaves it — a re-raised *ProcPanic, a deadlock, or a fault in an
+// event callback the driver fired itself — abandons the engine's suspended
+// processes first. Shard workers abandon theirs when they stop.
+func (e *Engine) abandonOnPanic() {
+	if r := recover(); r != nil {
+		e.abandon()
+		panic(r)
+	}
+}
+
 // run is the coroutine body: it runs the process to completion, recording
-// an escaped panic for the driver to re-raise.
+// an escaped panic for the driver to re-raise. An abandoned body is left
+// parked and live.
 func (p *Proc) run(yield func(struct{}) bool) {
 	p.yield = yield
 	p.parked = false
-	fail := p.runBody(p.body)
+	fail, stopped := p.runBody(p.body)
+	if stopped {
+		return
+	}
 	p.done, p.body = true, nil
 	p.eng.live--
 	if fail != nil {
@@ -100,10 +146,14 @@ func (p *Proc) run(yield func(struct{}) bool) {
 }
 
 // runBody executes the process body, converting an escaped panic into a
-// *ProcPanic so it can be re-raised on the driver's goroutine.
-func (p *Proc) runBody(fn func(*Proc)) (fail *ProcPanic) {
+// *ProcPanic so it can be re-raised on the driver's goroutine. stopped
+// reports an unwind through the abandoned sentinel, which is no fault.
+func (p *Proc) runBody(fn func(*Proc)) (fail *ProcPanic, stopped bool) {
 	defer func() {
 		if r := recover(); r != nil {
+			if _, stopped = r.(abandoned); stopped {
+				return
+			}
 			if pp, ok := r.(*ProcPanic); ok {
 				fail = pp // already wrapped by a nested engine's driver
 				return
@@ -112,7 +162,7 @@ func (p *Proc) runBody(fn func(*Proc)) (fail *ProcPanic) {
 		}
 	}()
 	fn(p)
-	return nil
+	return nil, false
 }
 
 // Sleep advances the process's local activity by duration d of virtual time.

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 // Regression tests for the pooled-event execution core: heap-backed Cancel,
@@ -408,4 +410,81 @@ func TestDeadlockNamesSuspendedProcs(t *testing.T) {
 	}()
 	e.Run()
 	t.Fatal("Run returned despite deadlock")
+}
+
+// TestFaultedRunsReleaseSuspendedCoroutines runs engines that end in a
+// process fault, a fault in an event callback the driver fires itself, or a
+// deadlock while other processes sit suspended in their coroutines —
+// sequential (Run and RunUntil), on a one-shard window and on two shard
+// workers — and checks that none of those coroutines' goroutines outlive
+// the failed run. Abandoned bodies unwind through their deferred calls
+// without firing another event, and the fault still names the faulting
+// process.
+func TestFaultedRunsReleaseSuspendedCoroutines(t *testing.T) {
+	late := false
+	build := func(fault string) *Engine {
+		e := NewEngine(1)
+		never := NewCond(e)
+		for _, name := range []string{"a", "b"} {
+			e.Spawn(name, func(p *Proc) {
+				defer p.Sleep(0.5) // a park during the unwind must not run the loop
+				never.Wait(p)
+			})
+		}
+		switch fault {
+		case "proc":
+			e.Spawn("c", func(p *Proc) {
+				p.Sleep(1)
+				panic("fault")
+			})
+		case "callback":
+			e.At(1, func() { panic("callback fault") })
+		}
+		if fault != "" {
+			e.At(5, func() { late = true })
+		}
+		return e
+	}
+	mustPanic := func(run func()) (r any) {
+		defer func() { r = recover() }()
+		run()
+		t.Fatal("run returned despite a fault or deadlock")
+		return nil
+	}
+	base := runtime.NumGoroutine()
+	runs := 0
+	for i := 0; i < 20; i++ {
+		e := build("proc")
+		if pp, ok := mustPanic(func() { e.Run() }).(*ProcPanic); !ok || pp.Proc != "c" {
+			t.Fatalf("Run re-raised %v, want a *ProcPanic from c", pp)
+		}
+		if s, _ := mustPanic(func() { build("").Run() }).(string); !strings.Contains(s, "deadlock") {
+			t.Fatalf("recovered %q, want a deadlock", s)
+		}
+		for _, run := range []func(){
+			func() { build("callback").Run() },
+			func() { build("callback").RunUntil(10) },
+			func() { NewWindows([]*Engine{build("callback")}, 0.25).Run() },
+			func() { NewWindows([]*Engine{build("proc")}, 0.25).Run() },
+			func() { NewWindows([]*Engine{build(""), build("proc")}, 0.25).Run() },
+			func() { NewWindows([]*Engine{build(""), build("")}, 0.25).Run() },
+		} {
+			if s, ok := mustPanic(run).(string); ok && !strings.Contains(s, "deadlock") && s != "callback fault" {
+				t.Fatalf("recovered %q", s)
+			}
+		}
+		runs += 8
+	}
+	if late {
+		t.Fatal("an event fired after the fault while abandoned processes unwound")
+	}
+	// Goroutines of stopped coroutines and shard workers exit just after
+	// their last handoff; give the scheduler a moment to reap them.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base+2 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base+2 {
+		t.Fatalf("%d goroutines after %d failed runs, %d before: suspended coroutines leaked", n, runs, base)
+	}
 }

@@ -163,7 +163,9 @@ func (ws *Windows) drain() {
 func (ws *Windows) Run() Time {
 	if len(ws.engs) > 1 {
 		ws.startWorkers()
-		defer ws.stopWorkers()
+		defer ws.stopWorkers() // each worker abandons its shard's processes
+	} else {
+		defer ws.engs[0].abandonOnPanic()
 	}
 	for {
 		ws.drain()
@@ -239,6 +241,8 @@ func (ws *Windows) startWorkers() {
 			for end := range w.start {
 				w.done <- runOneWindow(e, end)
 			}
+			e.abandon() // on the driver thread its coroutines were made on
+			w.done <- nil
 		}(ws.workers[i], ws.engs[i])
 	}
 	ready.Wait()
@@ -252,9 +256,14 @@ func runOneWindow(e *Engine, end Time) (fail any) {
 	return nil
 }
 
+// stopWorkers ends the workers once each has abandoned whatever processes
+// a failed run left suspended on its shard (a no-op after a clean run).
 func (ws *Windows) stopWorkers() {
 	for i := range ws.workers {
 		close(ws.workers[i].start)
+	}
+	for i := range ws.workers {
+		<-ws.workers[i].done
 	}
 	ws.workers = nil
 }
